@@ -1,16 +1,7 @@
 #include "nmine/dist/coordinator.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -19,7 +10,6 @@
 #include "nmine/core/matrix_io.h"
 #include "nmine/db/disk_database.h"
 #include "nmine/exec/policy.h"
-#include "nmine/exec/thread_pool.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/lattice/pattern_counter.h"
 #include "nmine/net/status_server.h"
@@ -53,16 +43,6 @@ int64_t NowSteadyUs() {
       .count();
 }
 
-void SendAll(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t w =
-        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
-    if (w <= 0) return;
-    done += static_cast<size_t>(w);
-  }
-}
-
 }  // namespace
 
 /// Database + matrix the coordinator holds for its own use: the hello
@@ -73,25 +53,7 @@ struct CoordinatorEnv {
   std::optional<CompatibilityMatrix> matrix;
 };
 
-namespace {
-/// One env per live coordinator, keyed off the ActiveCoordinator pattern
-/// would be overkill — the Coordinator simply owns it via this holder so
-/// coordinator.h does not need the heavy db/matrix includes.
-std::mutex& EnvMutex() {
-  static std::mutex* m = new std::mutex();
-  return *m;
-}
-std::map<const Coordinator*, std::unique_ptr<CoordinatorEnv>>& EnvMap() {
-  static auto* envs =
-      new std::map<const Coordinator*, std::unique_ptr<CoordinatorEnv>>();
-  return *envs;
-}
-CoordinatorEnv* EnvFor(const Coordinator* c) {
-  std::lock_guard<std::mutex> lock(EnvMutex());
-  auto it = EnvMap().find(c);
-  return it == EnvMap().end() ? nullptr : it->second.get();
-}
-}  // namespace
+Coordinator::Coordinator() = default;
 
 Coordinator::~Coordinator() { Stop(); }
 
@@ -156,10 +118,7 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   } else {
     env->matrix = CompatibilityMatrix::Identity(m);
   }
-  {
-    std::lock_guard<std::mutex> lock(EnvMutex());
-    EnvMap()[this] = std::move(env);
-  }
+  env_ = std::move(env);
 
   exec_shard_size_ = exec::kDefaultShardSize;
   records_per_shard_ = options_.records_per_task;
@@ -171,51 +130,6 @@ bool Coordinator::Start(const Options& options, std::string* error) {
       ((records_per_shard_ + exec_shard_size_ - 1) / exec_shard_size_) *
       exec_shard_size_;
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = "socket(): " + std::string(strerror(errno));
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + options_.bind_address + "'";
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error != nullptr) {
-      *error = "bind(" + options_.bind_address + ":" +
-               std::to_string(options_.port) +
-               "): " + std::string(strerror(errno));
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) != 0) {
-    if (error != nullptr) *error = "listen(): " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  // Same non-blocking + poll() discipline as the mining server: a blocked
-  // accept() is not woken by close() on Linux.
-  int fd_flags = ::fcntl(fd, F_GETFL, 0);
-  if (fd_flags >= 0) ::fcntl(fd, F_SETFL, fd_flags | O_NONBLOCK);
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = options_.port;
-  }
-  listen_fd_ = fd;
-
   obs::TraceContext minted = obs::MintTraceContext();
   trace_hi_ = minted.trace_hi;
   trace_lo_ = minted.trace_lo;
@@ -223,9 +137,23 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   run_control_.Reset();
   result_ready_ = false;
   result_ = serve::JobResult();
-  {
-    std::lock_guard<std::mutex> lock(accept_done_mutex_);
-    accept_done_ = false;
+  told_shutdown_.clear();
+
+  // Progress frames carry whole partial arrays, so the line cap is wider
+  // than the mining server's 1 MiB — but still a cap: a wedged peer
+  // cannot grow the buffer without bound.
+  net::LineServer::Options line_options;
+  line_options.port = options_.port;
+  line_options.bind_address = options_.bind_address;
+  line_options.max_line = 8u << 20;
+  line_options.overflow_reply = serve::ErrorResponse(
+      "INVALID_ARGUMENT", "request line exceeds 8 MiB");
+  if (!lines_.Start(line_options,
+                    [this](const std::string& line) {
+                      return net::LineReply{HandleLine(line), false};
+                    },
+                    error)) {
+    return false;
   }
   running_.store(true, std::memory_order_release);
 
@@ -246,14 +174,10 @@ bool Coordinator::Start(const Options& options, std::string* error) {
   }();
   (void)shardz_registered;
 
-  exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  pool.ReserveWorker();
-  pool.Submit([this] { AcceptLoop(); });
-
   NMINE_LOG(kInfo, "dist")
       .Msg("coordinator listening")
       .Str("address", options_.bind_address)
-      .Num("port", static_cast<int64_t>(port_))
+      .Num("port", static_cast<int64_t>(port()))
       .Str("state_dir", options_.state_dir)
       .Num("records_per_shard", static_cast<int64_t>(records_per_shard_))
       .Num("replayed_epochs", static_cast<int64_t>(epochs_.size()))
@@ -291,6 +215,25 @@ serve::JobResult Coordinator::Run() {
 
 void Coordinator::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  {
+    // A finished run keeps the port open until every live worker has
+    // polled and heard "shutdown", or for one lease at most (a worker
+    // silent that long is gone). Closing at once would leave workers
+    // redialing a coordinator that no longer exists.
+    std::unique_lock<std::mutex> lock(state_mutex_);
+    result_cv_.wait_for(
+        lock, std::chrono::milliseconds(options_.lease_ms), [this] {
+          if (!result_ready_) return true;
+          const int64_t now = NowSteadyUs();
+          for (const auto& [name, last_seen] : workers_) {
+            if (now - last_seen < options_.lease_ms * 1000 &&
+                told_shutdown_.count(name) == 0) {
+              return false;
+            }
+          }
+          return true;
+        });
+  }
   stopping_.store(true, std::memory_order_release);
   run_control_.RequestCancel();
   {
@@ -298,98 +241,24 @@ void Coordinator::Stop() {
     scan_cv_.notify_all();
     result_cv_.notify_all();
   }
-  {
-    std::unique_lock<std::mutex> lock(accept_done_mutex_);
-    accept_done_cv_.wait(lock, [this] { return accept_done_; });
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (std::thread& t : connection_threads_) {
-      if (t.joinable()) t.join();
-    }
-    connection_threads_.clear();
-  }
+  // Blocked "wait" handlers were released by the notify above.
+  lines_.Stop();
   {
     std::lock_guard<std::mutex> lock(ActiveCoordinatorMutex());
     if (ActiveCoordinator() == this) ActiveCoordinator() = nullptr;
   }
-  {
-    std::lock_guard<std::mutex> lock(EnvMutex());
-    EnvMap().erase(this);
-  }
   NMINE_LOG(kInfo, "dist").Msg("coordinator stopped");
 }
 
-void Coordinator::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
-      }
-      break;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back(
-        [this, client] { ConnectionLoop(client); });
-  }
-  std::lock_guard<std::mutex> lock(accept_done_mutex_);
-  accept_done_ = true;
-  accept_done_cv_.notify_all();
-}
-
-void Coordinator::ConnectionLoop(int fd) {
-  timeval timeout;
-  timeout.tv_sec = 0;
-  timeout.tv_usec = 100 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  std::string buffer;
-  char chunk[4096];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (r == 0) break;  // peer closed
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<size_t>(r));
-    if (buffer.size() > (8u << 20)) {
-      // Progress frames carry whole partial arrays, so the cap is wider
-      // than the mining server's 1 MiB — but still a cap: a wedged peer
-      // cannot grow the buffer without bound.
-      SendAll(fd, serve::ErrorResponse("INVALID_ARGUMENT",
-                                       "request line exceeds 8 MiB"));
-      break;
-    }
-    size_t nl;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (line.empty() || line == "\r") continue;
-      std::string parse_error;
-      std::string parse_error_code;
-      std::optional<DistRequest> request =
-          ParseDistRequest(line, &parse_error, &parse_error_code);
-      SendAll(fd, request.has_value()
-                      ? HandleRequest(*request)
-                      : serve::ErrorResponse(parse_error_code, parse_error));
-    }
-  }
-  ::close(fd);
+std::string Coordinator::HandleLine(const std::string& line) {
+  if (line.empty() || line == "\r") return std::string();
+  std::string parse_error;
+  std::string parse_error_code;
+  std::optional<DistRequest> request =
+      ParseDistRequest(line, &parse_error, &parse_error_code);
+  return request.has_value()
+             ? HandleRequest(*request)
+             : serve::ErrorResponse(parse_error_code, parse_error);
 }
 
 std::string Coordinator::HandleRequest(const DistRequest& request) {
@@ -429,7 +298,11 @@ std::string Coordinator::HandlePoll(const DistRequest& request) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   const int64_t now = NowSteadyUs();
   workers_[request.worker] = now;
-  if (result_ready_) return ShutdownResponse();
+  if (result_ready_) {
+    told_shutdown_.insert(request.worker);
+    result_cv_.notify_all();
+    return ShutdownResponse();
+  }
   if (!scan_active_) {
     return IdleResponse(options_.poll_idle_ms);
   }
@@ -794,7 +667,7 @@ Status Coordinator::CountShardLocallyLocked(
   ShardProgress progress = shard->progress;
   lock.unlock();
 
-  CoordinatorEnv* env = EnvFor(this);
+  CoordinatorEnv* env = env_.get();
   Status status = Status::Ok();
   if (env == nullptr || env->db == nullptr) {
     status = Status::Internal("coordinator environment missing");

@@ -7,8 +7,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "nmine/core/metric.h"
@@ -16,11 +16,14 @@
 #include "nmine/core/status.h"
 #include "nmine/dist/journal.h"
 #include "nmine/dist/wire.h"
+#include "nmine/net/line_transport.h"
 #include "nmine/runtime/run_control.h"
 #include "nmine/serve/job.h"
 
 namespace nmine {
 namespace dist {
+
+struct CoordinatorEnv;
 
 /// Coordinator of one fault-tolerant distributed mining run.
 ///
@@ -78,7 +81,7 @@ class Coordinator {
     uint64_t records_per_task = 1024;
   };
 
-  Coordinator() = default;
+  Coordinator();
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -94,15 +97,18 @@ class Coordinator {
   /// result. Call once per Start.
   serve::JobResult Run();
 
-  /// Abrupt stop: cancels the run, closes the listener, joins threads.
-  /// The journal keeps the in-flight state — a new Coordinator on the
-  /// same state_dir resumes (this is the crash path tests exercise).
+  /// Stops serving. After a finished Run it first waits (one lease at
+  /// most) until every live worker has been told to shut down. Otherwise
+  /// it is an abrupt stop: cancels the run, closes the listener, joins
+  /// threads. The journal keeps the in-flight state — a new Coordinator
+  /// on the same state_dir resumes (this is the crash path tests
+  /// exercise).
   void Stop();
 
   /// Cancellation token of the governed run (signal handlers flip it).
   runtime::RunControl* run_control() { return &run_control_; }
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return lines_.port(); }
 
   /// The /shardz board: one JSON object per dist shard of the scan in
   /// flight plus run-level counters.
@@ -123,8 +129,9 @@ class Coordinator {
   Status CountBatch(Metric metric, const std::vector<Pattern>& probe,
                     std::vector<double>* values);
 
-  void AcceptLoop();
-  void ConnectionLoop(int fd);
+  /// The line-protocol dispatch: one request line in, one reply line out
+  /// (empty for a blank line).
+  std::string HandleLine(const std::string& line);
   std::string HandleRequest(const DistRequest& request);
   std::string HandleHello(const DistRequest& request);
   std::string HandlePoll(const DistRequest& request);
@@ -150,6 +157,9 @@ class Coordinator {
                     const std::string& worker);
 
   Options options_;
+  /// The coordinator's own database + matrix (coordinator.cc), kept out
+  /// of this header's includes.
+  std::unique_ptr<CoordinatorEnv> env_;
   std::unique_ptr<DistJournal> journal_;
   ReplayState replay_;
   bool adopt_pending_ = false;  // replay_ holds an unconsumed in-flight scan
@@ -159,15 +169,9 @@ class Coordinator {
   uint64_t exec_shard_size_ = 0;
   uint64_t records_per_shard_ = 0;
 
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
+  net::LineServer lines_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::mutex accept_done_mutex_;
-  std::condition_variable accept_done_cv_;
-  bool accept_done_ = true;
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
 
   runtime::RunControl run_control_;
   uint64_t trace_hi_ = 0;
@@ -178,7 +182,8 @@ class Coordinator {
   // the journaled and in-memory orders agree).
   std::mutex state_mutex_;
   std::condition_variable scan_cv_;    // progress/completion of the scan
-  std::condition_variable result_cv_;  // terminal JobResult published
+  // Terminal JobResult published, or a worker told to shut down.
+  std::condition_variable result_cv_;
   std::map<uint64_t, uint64_t> epochs_;  // per-shard, survives scans
   bool scan_active_ = false;
   uint64_t scan_id_ = 0;
@@ -189,6 +194,7 @@ class Coordinator {
   std::map<std::string, int64_t> workers_;  // name -> last frame (steady us)
   bool result_ready_ = false;
   serve::JobResult result_;
+  std::set<std::string> told_shutdown_;  // workers sent "shutdown"
 };
 
 }  // namespace dist

@@ -1,13 +1,7 @@
 #include "nmine/dist/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 #include "nmine/dist/wire.h"
 #include "nmine/obs/json_parse.h"
@@ -171,113 +165,60 @@ void Replay(const std::string& line, ReplayState* state) {
 std::unique_ptr<DistJournal> DistJournal::Open(const std::string& state_dir,
                                                ReplayState* state,
                                                std::string* error) {
-  std::error_code ec;
-  std::filesystem::create_directories(state_dir, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create state dir '" + state_dir + "': " + ec.message();
-    }
-    return nullptr;
-  }
-  const std::string path =
-      (std::filesystem::path(state_dir) / "dist.journal").string();
-
-  // Replay line-wise: the unterminated final line of a crash parses as
-  // garbage and is skipped.
   *state = ReplayState();
-  size_t replayed_lines = 0;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      Replay(line, state);
-      ++replayed_lines;
+  // Compaction keeps epochs plus the in-flight scan (if any): all that the
+  // next life needs; dead scans and superseded progress drop.
+  auto compact = [state] {
+    std::string compacted;
+    for (const auto& [shard, epoch] : state->epochs) {
+      AppendEpochLine(shard, epoch, &compacted);
     }
-  }
-
-  // Compact: epochs plus the in-flight scan (if any) are all that the next
-  // life needs; everything else — dead scans, superseded progress — drops.
-  std::string compacted;
-  for (const auto& [shard, epoch] : state->epochs) {
-    AppendEpochLine(shard, epoch, &compacted);
-  }
-  if (state->has_scan) {
-    AppendScanLine(state->scan, state->fingerprint, &compacted);
-    for (const auto& [shard, progress] : state->shards) {
-      AppendProgressLine(state->scan, shard, progress, &compacted);
+    if (state->has_scan) {
+      AppendScanLine(state->scan, state->fingerprint, &compacted);
+      for (const auto& [shard, progress] : state->shards) {
+        AppendProgressLine(state->scan, shard, progress, &compacted);
+      }
     }
-  }
-  Status write_status = runtime::AtomicWriteFile(path, compacted);
-  if (!write_status.ok()) {
-    if (error != nullptr) *error = write_status.ToString();
-    return nullptr;
-  }
-
-  std::unique_ptr<DistJournal> journal(new DistJournal(path));
-  journal->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (journal->fd_ < 0) {
-    if (error != nullptr) {
-      *error = "cannot open dist journal '" + path +
-               "' for append: " + std::string(strerror(errno));
-    }
-    return nullptr;
-  }
-  if (replayed_lines > 0) {
+    return compacted;
+  };
+  std::unique_ptr<runtime::AppendLog> log = runtime::AppendLog::Open(
+      state_dir, "dist.journal",
+      [state](const std::string& line) { Replay(line, state); }, compact,
+      error);
+  if (log == nullptr) return nullptr;
+  if (log->replayed_lines() > 0) {
     NMINE_LOG(kInfo, "dist")
         .Msg("dist journal replayed")
-        .Num("lines", static_cast<int64_t>(replayed_lines))
+        .Num("lines", static_cast<int64_t>(log->replayed_lines()))
         .Num("shard_epochs", static_cast<int64_t>(state->epochs.size()))
         .Num("inflight_scan", state->has_scan ? 1 : 0);
   }
-  return journal;
-}
-
-DistJournal::~DistJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status DistJournal::AppendLine(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t done = 0;
-  while (done < line.size()) {
-    ssize_t w = ::write(fd_, line.data() + done, line.size() - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("dist journal write failed: " +
-                                 std::string(strerror(errno)));
-    }
-    done += static_cast<size_t>(w);
-  }
-  if (::fsync(fd_) != 0) {
-    return Status::Unavailable("dist journal fsync failed: " +
-                               std::string(strerror(errno)));
-  }
-  return Status::Ok();
+  return std::unique_ptr<DistJournal>(new DistJournal(std::move(log)));
 }
 
 Status DistJournal::AppendEpoch(uint64_t shard, uint64_t epoch) {
   std::string line;
   AppendEpochLine(shard, epoch, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status DistJournal::AppendScanBegin(uint64_t scan, uint64_t fingerprint) {
   std::string line;
   AppendScanLine(scan, fingerprint, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status DistJournal::AppendShardProgress(uint64_t scan, uint64_t shard,
                                         const ShardProgress& progress) {
   std::string line;
   AppendProgressLine(scan, shard, progress, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status DistJournal::AppendScanEnd(uint64_t scan) {
   std::string line;
   AppendScanEndLine(scan, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 uint64_t ScanFingerprint(const std::string& metric,

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "nmine/core/pattern.h"
 #include "nmine/core/status.h"
+#include "nmine/runtime/checkpoint_io.h"
 
 namespace nmine {
 namespace dist {
@@ -40,9 +40,9 @@ struct ReplayState {
 };
 
 /// Write-ahead journal of the coordinator's assignment state, the
-/// crash-recovery spine of nmine_coordinator (the dist cousin of
-/// serve::JobJournal — same line-JSON WAL, torn-tail-tolerant replay,
-/// compaction on open).
+/// crash-recovery spine of nmine_coordinator. Like serve::JobJournal it is
+/// a runtime::AppendLog: torn-tail-tolerant replay and compaction on
+/// open.
 ///
 /// Events, each one fsync'd JSON line in `<state_dir>/dist.journal`:
 ///
@@ -67,7 +67,6 @@ class DistJournal {
                                            ReplayState* state,
                                            std::string* error);
 
-  ~DistJournal();
   DistJournal(const DistJournal&) = delete;
   DistJournal& operator=(const DistJournal&) = delete;
 
@@ -77,16 +76,13 @@ class DistJournal {
                              const ShardProgress& progress);
   Status AppendScanEnd(uint64_t scan);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
 
  private:
-  explicit DistJournal(std::string path) : path_(std::move(path)) {}
+  explicit DistJournal(std::unique_ptr<runtime::AppendLog> log)
+      : log_(std::move(log)) {}
 
-  Status AppendLine(const std::string& line);
-
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
+  std::unique_ptr<runtime::AppendLog> log_;
 };
 
 /// FNV-1a over the metric wire name and the probe patterns. Identifies a

@@ -1,15 +1,7 @@
 #include "nmine/dist/worker.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -22,6 +14,7 @@
 #include "nmine/dist/wire.h"
 #include "nmine/gen/matrix_generator.h"
 #include "nmine/lattice/pattern_counter.h"
+#include "nmine/net/line_transport.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/json_util.h"
 #include "nmine/obs/logger.h"
@@ -30,17 +23,6 @@
 namespace nmine {
 namespace dist {
 namespace {
-
-bool SendAll(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t w =
-        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    done += static_cast<size_t>(w);
-  }
-  return true;
-}
 
 void SleepWithStop(int64_t ms, const runtime::RunControl* run) {
   const int64_t step_ms = 20;
@@ -56,53 +38,28 @@ void SleepWithStop(int64_t ms, const runtime::RunControl* run) {
 
 /// Everything one live connection + hello establishes.
 struct WorkerSession {
-  int fd = -1;
+  /// Task grants can carry resume partials, so replies get the same
+  /// 8 MiB line cap as the coordinator's requests.
+  net::LineClient client{8u << 20};
   HelloInfo info;
   std::unique_ptr<DiskSequenceDatabase> db;
   std::optional<CompatibilityMatrix> matrix;  // set for metric == match
   Metric metric = Metric::kMatch;
-  std::string buffer;
-
-  ~WorkerSession() {
-    if (fd >= 0) ::close(fd);
-  }
 
   /// Sends one line and reads one response line. Unavailable on any
   /// socket failure or peer close (the caller reconnects); honors `run`.
   Status RoundTrip(const std::string& request, const runtime::RunControl* run,
                    obs::JsonValue* reply) {
-    if (!SendAll(fd, request)) {
-      return Status::Unavailable("send failed: " + std::string(strerror(errno)));
+    std::string line;
+    Status s = client.RoundTrip(request, &line,
+                                [run] { return runtime::CheckRun(run); });
+    if (!s.ok()) return s;
+    std::optional<obs::JsonValue> value = obs::ParseJson(line);
+    if (!value.has_value() || !value->is_object()) {
+      return Status::Unavailable("malformed response line");
     }
-    char chunk[4096];
-    while (true) {
-      size_t nl = buffer.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer.substr(0, nl);
-        buffer.erase(0, nl + 1);
-        std::optional<obs::JsonValue> value = obs::ParseJson(line);
-        if (!value.has_value() || !value->is_object()) {
-          return Status::Unavailable("malformed response line");
-        }
-        *reply = std::move(*value);
-        return Status::Ok();
-      }
-      Status rs = runtime::CheckRun(run);
-      if (!rs.ok()) return rs;
-      ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (r == 0) return Status::Unavailable("coordinator closed connection");
-      if (r < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          continue;
-        }
-        return Status::Unavailable("recv failed: " +
-                                   std::string(strerror(errno)));
-      }
-      buffer.append(chunk, static_cast<size_t>(r));
-      if (buffer.size() > (8u << 20)) {
-        return Status::Unavailable("response line exceeds 8 MiB");
-      }
-    }
+    *reply = std::move(*value);
+    return Status::Ok();
   }
 };
 
@@ -115,32 +72,8 @@ namespace {
 Status OpenSession(const DistWorker::Options& options,
                    std::unique_ptr<WorkerSession>* out) {
   auto session = std::make_unique<WorkerSession>();
-  session->fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (session->fd < 0) {
-    return Status::Unavailable("socket(): " + std::string(strerror(errno)));
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad coordinator host '" + options.host +
-                                   "'");
-  }
-  if (::connect(session->fd, reinterpret_cast<sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    return Status::Unavailable("connect(" + options.host + ":" +
-                               std::to_string(options.port) +
-                               "): " + std::string(strerror(errno)));
-  }
-  // Short receive ticks so run-control stops are observed promptly.
-  timeval timeout;
-  timeout.tv_sec = 0;
-  timeout.tv_usec = 200 * 1000;
-  ::setsockopt(session->fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-               sizeof(timeout));
-  int one = 1;
-  ::setsockopt(session->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  Status connected = session->client.Connect(options.host, options.port);
+  if (!connected.ok()) return connected;
 
   std::string hello = "{\"v\": " + std::to_string(kProtocolVersion) +
                       ", \"op\": \"hello\", \"worker\": ";

@@ -204,12 +204,8 @@ MiningResult BorderCollapseMiner::Mine(const SequenceDatabase& db,
     return result;
   };
 
-  // Whole-run checkpointing (stage 1/2/3 boundaries) supersedes the
-  // legacy Phase-3-only path when both are configured.
-  const bool whole_run = !options_.run_checkpoint_path.empty();
-  const std::string& ckpt_path = whole_run
-                                     ? options_.run_checkpoint_path
-                                     : options_.phase3_checkpoint_path;
+  // Whole-run checkpointing: stage 1/2/3 boundaries.
+  const std::string& ckpt_path = options_.run_checkpoint_path;
 
   auto make_guard = [&] {
     runtime::RunCheckpoint g;
@@ -355,7 +351,7 @@ MiningResult BorderCollapseMiner::Mine(const SequenceDatabase& db,
 
     // The Phase-1 scan is consumed: snapshot it so a later kill skips
     // straight to Phase 2 on resume.
-    if (whole_run && !have_phase1) {
+    if (!ckpt_path.empty() && !have_phase1) {
       write_checkpoint(runtime::RunStage::kPhase1Done);
     }
 

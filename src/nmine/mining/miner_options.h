@@ -87,13 +87,6 @@ struct MinerOptions {
                        std::vector<double>* values)>
       phase3_count_override;
 
-  /// When non-empty, Phase-3 probe state is checkpointed to this file
-  /// after every successful scan. A later run with the same options and
-  /// database resumes border collapsing from the unresolved patterns
-  /// instead of redoing Phases 1-3 from scratch. The file is removed on
-  /// successful completion.
-  std::string phase3_checkpoint_path;
-
   // --- Run lifecycle governance (src/nmine/runtime) ---
 
   /// Cooperative cancellation / deadline token, shared with the driver
@@ -115,8 +108,9 @@ struct MinerOptions {
   /// When non-empty, whole-run checkpoints are written at every phase
   /// boundary (after Phase 1, after Phase 2, after every Phase-3 probe
   /// scan), and a cancelled/expired run flushes its progress here before
-  /// returning. Supersedes phase3_checkpoint_path (which only covers
-  /// Phase 3) when both are set. The file is removed on success.
+  /// returning. A later run with the same options and database resumes
+  /// from the last boundary instead of redoing the scans before it. The
+  /// file is removed on success.
   std::string run_checkpoint_path;
 };
 

@@ -1,29 +1,17 @@
 #include "nmine/net/status_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <map>
+#include <sstream>
+#include <vector>
 
-#include "nmine/exec/thread_pool.h"
 #include "nmine/obs/export/openmetrics.h"
 #include "nmine/obs/flight_recorder.h"
+#include "nmine/obs/json_util.h"
 #include "nmine/obs/logger.h"
 #include "nmine/obs/metrics.h"
 #include "nmine/obs/profiler.h"
 #include "nmine/runtime/run_status.h"
-
-#include <map>
-#include <vector>
-
-#include "nmine/obs/json_util.h"
 
 namespace nmine {
 namespace net {
@@ -69,6 +57,8 @@ const char* ReasonPhrase(int status) {
   switch (status) {
     case 200:
       return "OK";
+    case 400:
+      return "Bad Request";
     case 404:
       return "Not Found";
     case 405:
@@ -78,7 +68,7 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-void SendResponse(int fd, const Response& response) {
+std::string FormatResponse(const Response& response) {
   char header[256];
   int n = std::snprintf(header, sizeof(header),
                         "HTTP/1.0 %d %s\r\n"
@@ -87,15 +77,10 @@ void SendResponse(int fd, const Response& response) {
                         "Connection: close\r\n\r\n",
                         response.status, ReasonPhrase(response.status),
                         response.content_type, response.body.size());
-  if (n <= 0) return;
+  if (n <= 0) return std::string();
   std::string out(header, static_cast<size_t>(n));
   out.append(response.body);
-  size_t done = 0;
-  while (done < out.size()) {
-    ssize_t w = ::send(fd, out.data() + done, out.size() - done, MSG_NOSIGNAL);
-    if (w <= 0) return;
-    done += static_cast<size_t>(w);
-  }
+  return out;
 }
 
 Response Dispatch(const std::string& method, const std::string& path,
@@ -140,8 +125,6 @@ Response Dispatch(const std::string& method, const std::string& path,
 }
 
 }  // namespace
-
-StatusServer::~StatusServer() { Stop(); }
 
 void StatusServer::RegisterEndpoint(const std::string& path,
                                     std::function<std::string()> handler) {
@@ -218,174 +201,44 @@ std::string StatusServer::HealthzBody() {
 }
 
 bool StatusServer::Start(const Options& options, std::string* error) {
-  if (running_.load(std::memory_order_acquire)) {
-    if (error != nullptr) *error = "status server already running";
+  LineServer::Options line_options;
+  line_options.port = options.port;
+  line_options.bind_address = options.bind_address;
+  // Only the request line is read; headers after it never matter.
+  line_options.max_line = 2048;
+  Response too_long;
+  too_long.status = 400;
+  too_long.body = "{\"error\": \"request line exceeds 2 KiB\"}\n";
+  line_options.overflow_reply = FormatResponse(too_long);
+  if (!lines_.Start(line_options,
+                    [this](const std::string& line) {
+                      return LineReply{HandleRequestLine(line), true};
+                    },
+                    error)) {
     return false;
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = "socket(): " + std::string(strerror(errno));
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + options.bind_address + "'";
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (error != nullptr) {
-      *error = "bind(" + options.bind_address + ":" +
-               std::to_string(options.port) +
-               "): " + std::string(strerror(errno));
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) != 0) {
-    if (error != nullptr) *error = "listen(): " + std::string(strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  // Non-blocking listener + poll(): a blocked accept() is NOT woken by
-  // close()/shutdown() on Linux, so a blocking loop could never be shut
-  // down cleanly. The loop instead polls with a short timeout and checks
-  // the stop flag between polls.
-  int fd_flags = ::fcntl(fd, F_GETFL, 0);
-  if (fd_flags >= 0) ::fcntl(fd, F_SETFL, fd_flags | O_NONBLOCK);
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = options.port;
-  }
-
-  listen_fd_ = fd;
-  stop_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    loop_done_ = false;
-  }
-  // The accept loop parks one pool worker for the server's lifetime;
-  // reserve it so every later EnsureWorkers(n) still yields n workers
-  // free for scan shards (submitting into the un-grown pool would starve
-  // a sharded scan of one of the workers it sized itself for).
-  exec::ThreadPool& pool = exec::ThreadPool::Shared();
-  pool.ReserveWorker();
-  pool.Submit([this] { AcceptLoop(); });
-
   NMINE_LOG(kInfo, "net")
       .Msg("status server listening")
       .Str("address", options.bind_address)
-      .Num("port", static_cast<int64_t>(port_));
+      .Num("port", static_cast<int64_t>(port()));
   return true;
 }
 
-void StatusServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  // The loop notices the flag at its next poll() timeout; only close the
-  // socket once it has drained, so the fd can never be reused by another
-  // open while the loop still touches it.
-  {
-    std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return loop_done_; });
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-}
+void StatusServer::Stop() { lines_.Stop(); }
 
-void StatusServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener gone; nothing to serve anymore
-    }
-    if (ready == 0) continue;  // timeout: re-check the stop flag
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNABORTED) {
-        continue;
-      }
-      break;
-    }
-    HandleConnection(client);
-    ::close(client);
-  }
-  {
-    std::lock_guard<std::mutex> lock(done_mutex_);
-    loop_done_ = true;
-    // Notify while holding the lock: Stop()'s waiter cannot observe
-    // loop_done_ and let the server be destroyed until the lock drops,
-    // so the condition variable is never destroyed mid-notify.
-    done_cv_.notify_all();
-  }
-}
-
-void StatusServer::HandleConnection(int client_fd) {
-  // Polling clients send one small request; cap the read and bail on slow
-  // peers so a stuck client can never wedge the introspection port.
-  timeval timeout;
-  timeout.tv_sec = 2;
-  timeout.tv_usec = 0;
-  ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  char buf[2048];
-  size_t have = 0;
-  // Read until the request line is complete (first CRLF); headers beyond
-  // it are irrelevant to dispatch.
-  while (have < sizeof(buf) - 1) {
-    ssize_t r = ::recv(client_fd, buf + have, sizeof(buf) - 1 - have, 0);
-    if (r <= 0) break;
-    have += static_cast<size_t>(r);
-    buf[have] = '\0';
-    if (std::strstr(buf, "\r\n") != nullptr ||
-        std::strchr(buf, '\n') != nullptr) {
-      break;
-    }
-  }
-  if (have == 0) return;
-  buf[have] = '\0';
-
-  // Parse "METHOD SP path['?'query] SP version".
+std::string StatusServer::HandleRequestLine(const std::string& line) {
+  // "METHOD SP path['?'query] SP version".
+  std::istringstream in(line);
   std::string method;
-  std::string path;
-  std::string query;
-  const char* p = buf;
-  while (*p != '\0' && *p != ' ' && *p != '\r' && *p != '\n') {
-    method.push_back(*p++);
-  }
-  while (*p == ' ') ++p;
-  while (*p != '\0' && *p != ' ' && *p != '\r' && *p != '\n' && *p != '?') {
-    path.push_back(*p++);
-  }
-  if (*p == '?') {
-    ++p;
-    while (*p != '\0' && *p != ' ' && *p != '\r' && *p != '\n') {
-      query.push_back(*p++);
-    }
-  }
+  std::string target;
+  in >> method >> target;
+  const size_t q = target.find('?');
   requests_.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::Global().GetCounter("net.statusz.requests")
       .Increment();
-
-  SendResponse(client_fd, Dispatch(method, path, query));
+  return FormatResponse(Dispatch(
+      method, target.substr(0, q),
+      q == std::string::npos ? std::string() : target.substr(q + 1)));
 }
 
 }  // namespace net

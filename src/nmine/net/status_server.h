@@ -2,19 +2,18 @@
 #define NMINE_NET_STATUS_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "nmine/net/line_transport.h"
 
 namespace nmine {
 namespace net {
 
 /// Minimal read-only embedded HTTP/1.0 status server — the live
-/// introspection surface of a mining run, and the first brick of the
-/// nmine_server daemon's socket layer.
+/// introspection surface of a mining run.
 ///
 /// Endpoints (GET only):
 ///   /healthz   {"status": "ok"|"degraded", ...} — liveness + load-shedding
@@ -35,11 +34,11 @@ namespace net {
 /// serving layer registers /jobsz this way); registered paths are served
 /// by every StatusServer in the process.
 ///
-/// The accept loop is blocking and runs as one task on the shared
-/// exec::ThreadPool; Start() grows the pool by one worker first, so the
-/// server never steals a scan worker from the miners. Requests are tiny
-/// and handled inline on that worker; the server only ever reads process
-/// state, so it needs no coordination with the run it is observing.
+/// It runs on a net::LineServer with a 2 KiB request-line cap: each
+/// connection reads the request line, answers it, and closes. The server
+/// only ever reads process state, so it needs no coordination with the
+/// run it is observing, and it never takes a worker of the shared
+/// exec::ThreadPool from the miners.
 class StatusServer {
  public:
   struct Options {
@@ -51,22 +50,21 @@ class StatusServer {
   };
 
   StatusServer() = default;
-  ~StatusServer();
   StatusServer(const StatusServer&) = delete;
   StatusServer& operator=(const StatusServer&) = delete;
 
-  /// Binds, listens, and submits the accept loop to the shared thread
-  /// pool. False with *error set when the socket cannot be set up.
+  /// Binds, listens, and starts serving. False with *error set when the
+  /// socket cannot be set up.
   bool Start(const Options& options, std::string* error);
 
-  /// Closes the listener and waits for the accept loop to drain. Safe to
+  /// Closes the listener and every connection and waits for them. Safe to
   /// call twice or without Start().
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return lines_.running(); }
 
   /// The port actually bound (resolves port 0 to the ephemeral choice).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return lines_.port(); }
 
   /// Requests served since Start (any endpoint, including 404s).
   uint64_t requests_served() const {
@@ -74,8 +72,8 @@ class StatusServer {
   }
 
   /// Registers (or replaces) a process-wide GET endpoint, e.g. "/jobsz".
-  /// `handler` returns the JSON body; it is invoked on the server's accept
-  /// worker and must be safe to call from any thread at any time.
+  /// `handler` returns the JSON body; it is invoked on a connection
+  /// thread and must be safe to call from any thread at any time.
   /// Registrations are permanent (like metrics registry entries).
   static void RegisterEndpoint(const std::string& path,
                                std::function<std::string()> handler);
@@ -105,17 +103,14 @@ class StatusServer {
   static std::string HealthzBody();
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int client_fd);
+  /// Parses "METHOD SP path['?'query] SP version" and renders the whole
+  /// HTTP response.
+  std::string HandleRequestLine(const std::string& line);
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
+  // Declared before lines_, so the connection threads that count
+  // requests are gone before the counter is.
   std::atomic<uint64_t> requests_{0};
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  bool loop_done_ = true;
+  LineServer lines_;
 };
 
 }  // namespace net

@@ -1,16 +1,13 @@
 #include "nmine/runtime/checkpoint_io.h"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
-
-#ifdef _WIN32
-#include <io.h>
-#else
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "nmine/obs/logger.h"
 
@@ -19,18 +16,12 @@ namespace runtime {
 namespace {
 
 /// fsync the file at `path` so the rename below publishes durable bytes.
-/// Best-effort on platforms without fsync semantics.
 bool SyncFile(const std::string& path) {
-#ifdef _WIN32
-  (void)path;
-  return true;
-#else
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
   bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
-#endif
 }
 
 }  // namespace
@@ -70,6 +61,63 @@ void BestEffortRemoveFile(const std::string& path, const char* component) {
         .Str("path", path)
         .Str("error", ec.message());
   }
+}
+
+std::unique_ptr<AppendLog> AppendLog::Open(
+    const std::string& dir, const std::string& name,
+    const std::function<void(const std::string& line)>& replay,
+    const std::function<std::string()>& compact, std::string* error) {
+  auto fail = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    return nullptr;
+  };
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return fail("cannot create state dir '" + dir + "': " + ec.message());
+  }
+  const std::string path = (std::filesystem::path(dir) / name).string();
+
+  size_t replayed_lines = 0;
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      replay(line);
+      ++replayed_lines;
+    }
+  }
+  Status written = AtomicWriteFile(path, compact());
+  if (!written.ok()) return fail(written.ToString());
+
+  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return fail("cannot open '" + path +
+                "' for append: " + std::string(std::strerror(errno)));
+  }
+  return std::unique_ptr<AppendLog>(
+      new AppendLog(path, fd, replayed_lines));
+}
+
+AppendLog::~AppendLog() { ::close(fd_); }
+
+Status AppendLog::Append(const std::string& line) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  size_t done = 0;
+  while (done < line.size()) {
+    ssize_t w = ::write(fd_, line.data() + done, line.size() - done);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable("write to '" + path_ +
+                                 "' failed: " + std::strerror(errno));
+    }
+    done += static_cast<size_t>(w);
+  }
+  if (::fsync(fd_) != 0) {
+    return Status::Unavailable("fsync of '" + path_ +
+                               "' failed: " + std::strerror(errno));
+  }
+  return Status::Ok();
 }
 
 }  // namespace runtime

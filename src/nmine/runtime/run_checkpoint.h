@@ -34,9 +34,7 @@ const char* ToString(RunStage stage);
 ///
 /// The guard fields tie a checkpoint to one (database, metric, threshold,
 /// sampling) configuration; Load refuses mismatches so stale state can
-/// never leak into a different mining run. The Phase-3-only checkpoint of
-/// the fault-tolerance layer (mining/phase3_checkpoint.h) is the
-/// kPhase3Progress stage of this same format.
+/// never leak into a different mining run.
 struct RunCheckpoint {
   RunStage stage = RunStage::kPhase3Progress;
 
@@ -46,8 +44,7 @@ struct RunCheckpoint {
   uint64_t num_sequences = 0;
   uint64_t total_symbols = 0;
   // Sampling guard: a stage-1 snapshot feeds Phase 2, which must replay
-  // with the same sample-size / seed / confidence configuration. Legacy
-  // Phase-3-only callers leave these at their zero defaults.
+  // with the same sample-size / seed / confidence configuration.
   uint64_t sample_size = 0;
   uint64_t seed = 0;
   double delta = 0.0;

@@ -1,14 +1,6 @@
 #include "nmine/serve/job_journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "nmine/obs/json_parse.h"
@@ -125,133 +117,80 @@ std::unique_ptr<JobJournal> JobJournal::Open(const std::string& state_dir,
                                              std::map<uint64_t, Job>* recovered,
                                              uint64_t* next_id,
                                              std::string* error) {
-  std::error_code ec;
-  std::filesystem::create_directories(state_dir, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create state dir '" + state_dir + "': " + ec.message();
-    }
-    return nullptr;
-  }
-  const std::string path =
-      (std::filesystem::path(state_dir) / "jobs.journal").string();
-
-  // Replay. Reading line-wise naturally tolerates the torn tail: the
-  // unterminated final line parses as garbage and is skipped.
   recovered->clear();
-  size_t replayed_lines = 0;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      Replay(line, recovered);
-      ++replayed_lines;
-    }
-  }
-
-  // Rewind crash-interrupted jobs: running means the server died mid-run.
-  // The job's RunCheckpoint (if the run got far enough to cut one) holds
-  // the progress; re-queueing re-enters RunJob which resumes from it.
-  uint64_t max_id = 0;
   size_t rewound = 0;
-  for (auto& [id, job] : *recovered) {
-    max_id = std::max(max_id, id);
-    if (job.state == JobState::kRunning) {
-      job.state = JobState::kQueued;
-      ++rewound;
+  auto compact = [&] {
+    // Rewind crash-interrupted jobs: running means the server died
+    // mid-run. The job's RunCheckpoint (if the run got far enough to cut
+    // one) holds the progress; re-queueing re-enters RunJob which resumes
+    // from it.
+    uint64_t max_id = 0;
+    for (auto& [id, job] : *recovered) {
+      max_id = std::max(max_id, id);
+      if (job.state == JobState::kRunning) {
+        job.state = JobState::kQueued;
+        ++rewound;
+      }
     }
-  }
-  *next_id = max_id + 1;
+    *next_id = max_id + 1;
 
-  // Compact: rewrite the replayed board as a fresh journal, dropping the
-  // oldest terminal jobs beyond the cap. Atomic write, so a crash during
-  // compaction keeps the old journal.
-  std::vector<const Job*> terminal;
-  for (const auto& [id, job] : *recovered) {
-    if (job.state == JobState::kDone || job.state == JobState::kFailed) {
-      terminal.push_back(&job);
+    // Rewrite the replayed board as a fresh journal, dropping the oldest
+    // terminal jobs beyond the cap.
+    std::vector<const Job*> terminal;
+    for (const auto& [id, job] : *recovered) {
+      if (job.state == JobState::kDone || job.state == JobState::kFailed) {
+        terminal.push_back(&job);
+      }
     }
-  }
-  if (terminal.size() > kMaxTerminalKept) {
-    std::sort(terminal.begin(), terminal.end(),
-              [](const Job* a, const Job* b) { return a->id < b->id; });
-    const size_t drop = terminal.size() - kMaxTerminalKept;
-    for (size_t i = 0; i < drop; ++i) recovered->erase(terminal[i]->id);
-  }
-  std::string compacted;
-  for (const auto& [id, job] : *recovered) {
-    AppendSubmitLine(job, &compacted);
-    if (job.state != JobState::kQueued) {
-      AppendStateLine(id, job.state, &compacted);
+    if (terminal.size() > kMaxTerminalKept) {
+      std::sort(terminal.begin(), terminal.end(),
+                [](const Job* a, const Job* b) { return a->id < b->id; });
+      const size_t drop = terminal.size() - kMaxTerminalKept;
+      for (size_t i = 0; i < drop; ++i) recovered->erase(terminal[i]->id);
     }
-    if (job.state == JobState::kDone || job.state == JobState::kFailed) {
-      AppendResultLine(id, job.result, &compacted);
+    std::string compacted;
+    for (const auto& [id, job] : *recovered) {
+      AppendSubmitLine(job, &compacted);
+      if (job.state != JobState::kQueued) {
+        AppendStateLine(id, job.state, &compacted);
+      }
+      if (job.state == JobState::kDone || job.state == JobState::kFailed) {
+        AppendResultLine(id, job.result, &compacted);
+      }
     }
-  }
-  Status write_status = runtime::AtomicWriteFile(path, compacted);
-  if (!write_status.ok()) {
-    if (error != nullptr) *error = write_status.ToString();
-    return nullptr;
-  }
-
-  std::unique_ptr<JobJournal> journal(new JobJournal(path));
-  journal->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (journal->fd_ < 0) {
-    if (error != nullptr) {
-      *error = "cannot open journal '" + path +
-               "' for append: " + std::string(strerror(errno));
-    }
-    return nullptr;
-  }
-  if (replayed_lines > 0) {
+    return compacted;
+  };
+  std::unique_ptr<runtime::AppendLog> log = runtime::AppendLog::Open(
+      state_dir, "jobs.journal",
+      [recovered](const std::string& line) { Replay(line, recovered); },
+      compact, error);
+  if (log == nullptr) return nullptr;
+  if (log->replayed_lines() > 0) {
     NMINE_LOG(kInfo, "serve")
         .Msg("job journal replayed")
-        .Num("lines", static_cast<int64_t>(replayed_lines))
+        .Num("lines", static_cast<int64_t>(log->replayed_lines()))
         .Num("jobs", static_cast<int64_t>(recovered->size()))
         .Num("rewound_to_queued", static_cast<int64_t>(rewound));
   }
-  return journal;
-}
-
-JobJournal::~JobJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status JobJournal::AppendLine(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t done = 0;
-  while (done < line.size()) {
-    ssize_t w = ::write(fd_, line.data() + done, line.size() - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("journal write failed: " +
-                                 std::string(strerror(errno)));
-    }
-    done += static_cast<size_t>(w);
-  }
-  if (::fsync(fd_) != 0) {
-    return Status::Unavailable("journal fsync failed: " +
-                               std::string(strerror(errno)));
-  }
-  return Status::Ok();
+  return std::unique_ptr<JobJournal>(new JobJournal(std::move(log)));
 }
 
 Status JobJournal::AppendSubmit(const Job& job) {
   std::string line;
   AppendSubmitLine(job, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status JobJournal::AppendState(uint64_t id, JobState state) {
   std::string line;
   AppendStateLine(id, state, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 Status JobJournal::AppendResult(uint64_t id, const JobResult& result) {
   std::string line;
   AppendResultLine(id, result, &line);
-  return AppendLine(line);
+  return log_->Append(line);
 }
 
 }  // namespace serve

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "nmine/core/status.h"
+#include "nmine/runtime/checkpoint_io.h"
 #include "nmine/serve/job.h"
 
 namespace nmine {
@@ -31,8 +31,9 @@ namespace serve {
 /// never saw ok and safely resubmits (the idempotency tag dedups if the
 /// journal record did land).
 ///
-/// Recovery: Open() replays the journal, tolerating a torn trailing line
-/// (the one write that was in flight at SIGKILL). Jobs whose last state
+/// The file is a runtime::AppendLog. Recovery: Open() replays the journal,
+/// tolerating a torn trailing line (the one write that was in flight at
+/// SIGKILL). Jobs whose last state
 /// was running are rewound to queued — their RunCheckpoint carries the
 /// actual progress. Open() then compacts: the replayed board is rewritten
 /// atomically as a fresh journal (keeping at most `kMaxTerminalKept`
@@ -52,7 +53,6 @@ class JobJournal {
                                           uint64_t* next_id,
                                           std::string* error);
 
-  ~JobJournal();
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
 
@@ -62,16 +62,13 @@ class JobJournal {
   Status AppendState(uint64_t id, JobState state);
   Status AppendResult(uint64_t id, const JobResult& result);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
 
  private:
-  explicit JobJournal(std::string path) : path_(std::move(path)) {}
+  explicit JobJournal(std::unique_ptr<runtime::AppendLog> log)
+      : log_(std::move(log)) {}
 
-  Status AppendLine(const std::string& line);
-
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
+  std::unique_ptr<runtime::AppendLog> log_;
 };
 
 }  // namespace serve

@@ -8,10 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "nmine/net/line_transport.h"
 #include "nmine/serve/job.h"
 #include "nmine/serve/job_journal.h"
 #include "nmine/serve/job_queue.h"
@@ -109,7 +109,7 @@ class MiningServer {
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return lines_.port(); }
 
   /// The /jobsz body: board snapshot with per-state counts, queue-wait /
   /// run-latency quantiles (serve.job.queue_wait_ms / serve.job.run_ms),
@@ -130,8 +130,9 @@ class MiningServer {
   std::string HealthQueueMember(std::vector<std::string>* reasons);
 
  private:
-  void AcceptLoop();
-  void ConnectionLoop(int fd);
+  /// The line-protocol dispatch: one request line in, one reply line out
+  /// (empty for a blank line).
+  std::string HandleLine(const std::string& line);
   void ExecutorLoop();
   void RunOne(uint64_t id);
   std::string HandleRequest(const Request& request);
@@ -144,8 +145,7 @@ class MiningServer {
   int64_t OldestQueuedAgeMsLocked() const;
 
   Options options_;
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
+  net::LineServer lines_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
@@ -171,14 +171,9 @@ class MiningServer {
   std::map<std::pair<std::string, std::string>, uint64_t> dedup_;
   uint64_t next_id_ = 1;
 
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
   std::atomic<int> executors_live_{0};
   std::mutex exec_done_mutex_;
   std::condition_variable exec_done_cv_;
-  std::mutex accept_done_mutex_;
-  std::condition_variable accept_done_cv_;
-  bool accept_done_ = true;
 };
 
 }  // namespace serve

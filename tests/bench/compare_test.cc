@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "bench/harness.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace bench {
@@ -53,7 +54,7 @@ TEST(CompareStatsTest, FlagsImprovementSymmetrically) {
 class CompareFilesTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) / "bench_compare_test";
+    dir_ = testutil::TempPath("bench_compare_test");
     old_dir_ = (dir_ / "old").string();
     new_dir_ = (dir_ / "new").string();
     std::filesystem::remove_all(dir_);

@@ -1,4 +1,5 @@
 #include "nmine/bio/fasta.h"
+#include "test_util.h"
 
 #include <cstdio>
 #include <fstream>
@@ -70,7 +71,7 @@ TEST(FastaTest, DatabaseConversionMapsResidues) {
 }
 
 TEST(FastaTest, FileRoundTrip) {
-  std::string path = std::string(::testing::TempDir()) + "/test.fasta";
+  std::string path = testutil::TempPath("test.fasta");
   {
     std::ofstream out(path);
     out << kSample;

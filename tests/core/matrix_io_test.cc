@@ -68,7 +68,7 @@ TEST(MatrixIoTest, RejectsNonStochasticMatrix) {
 }
 
 TEST(MatrixIoTest, FileRoundTrip) {
-  std::string path = std::string(::testing::TempDir()) + "/matrix.txt";
+  std::string path = testutil::TempPath("matrix.txt");
   CompatibilityMatrix c = testutil::Figure2Matrix();
   ASSERT_TRUE(WriteCompatibilityMatrixFile(path, c).ok);
   MatrixIoResult error;

@@ -33,7 +33,7 @@ std::vector<SequenceRecord> CorpusRecords() {
 }
 
 std::string WriteBytes(const std::string& name, const std::string& bytes) {
-  std::string path = std::string(::testing::TempDir()) + "/" + name;
+  std::string path = testutil::TempPath(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.close();

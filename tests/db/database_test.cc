@@ -12,7 +12,7 @@ namespace nmine {
 namespace {
 
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return testutil::TempPath(name);
 }
 
 TEST(InMemoryDatabaseTest, BasicAccounting) {

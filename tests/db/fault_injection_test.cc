@@ -239,8 +239,7 @@ TEST(RetryingDatabaseTest, FlakyPlanIsSeedDeterministic) {
 TEST(DiskScanFaultTest, TruncationAfterOpenSurfacesOnScan) {
   const std::vector<SequenceRecord> records =
       testutil::Figure4Database().records();
-  const std::string path =
-      std::string(::testing::TempDir()) + "/trunc_after_open.nmsq";
+  const std::string path = testutil::TempPath("trunc_after_open.nmsq");
   ASSERT_TRUE(dbformat::WriteDatabaseFile(path, records).ok);
   Status error;
   std::unique_ptr<DiskSequenceDatabase> db = DiskSequenceDatabase::Open(

@@ -29,6 +29,7 @@
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/metrics.h"
 #include "nmine/serve/job.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace dist {
@@ -113,8 +114,8 @@ class RawConnection {
 class DistMiningTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/dist_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("dist_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
 
@@ -374,26 +375,26 @@ TEST_F(DistMiningTest, CoordinatorRestartAdoptsTheJournaledScan) {
   {
     Coordinator coordinator;
     std::string error;
-    // Tight lease so the workerless coordinator starts counting locally
-    // (through the journaled grant/progress path) almost immediately.
+    // A lease far longer than the test: no lease expires and the network
+    // never counts as silent, so the first life never counts locally.
     ASSERT_TRUE(coordinator.Start(
-        CoordinatorOptions(state_subdir, /*lease_ms=*/100,
+        CoordinatorOptions(state_subdir, /*lease_ms=*/600000,
                            /*records_per_task=*/256),
         &error))
         << error;
     std::thread run_thread([&] { first_result = coordinator.Run(); });
-    // Kill the first life mid-scan, right after the FIRST task's progress
-    // hits the journal (the file is the durable, race-free signal — the
-    // live shardz view exposes mid-scan state only for instants). The job
-    // has exactly one distributed scan (phase 3 verifies all candidates
-    // in a single batch) of three single-exec-shard tasks, so when the
-    // first progress line lands, two full task counts still separate the
-    // scan from its scan_end — ample room for Stop() to cancel mid-scan
-    // and strand an in-flight scan WITH journaled shard progress.
+    // The job has exactly one distributed scan (phase 3 verifies all
+    // candidates in a single batch) of three single-exec-shard tasks. The
+    // only worker reports its first task and then throttles for a minute,
+    // so once that progress line is journaled the other two tasks stay
+    // pending with nobody to count them: the scan is provably in flight,
+    // with journaled shard progress, when Stop() lands.
+    WorkerHarness worker;
+    worker.Start(coordinator.port(), "stalling-w", /*throttle_ms=*/60000);
     const std::string journal_path = dir_ + "/" + state_subdir +
                                      "/dist.journal";
     bool mid_scan = false;
-    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(10);
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(30);
     while (Clock::now() < deadline) {
       std::ifstream in(journal_path);
       std::string contents((std::istreambuf_iterator<char>(in)),

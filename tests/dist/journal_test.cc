@@ -21,8 +21,8 @@ namespace {
 class DistJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/dist_journal_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("dist_journal_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

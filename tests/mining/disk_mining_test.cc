@@ -32,9 +32,9 @@ class DiskMiningTest : public ::testing::Test {
     // separate processes, and a shared path lets one test's TearDown
     // delete the file another is still scanning.
     path_ =
-        std::string(::testing::TempDir()) + "/disk_mining_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-        ".nmsq";
+        testutil::TempPath(std::string("disk_mining_") +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".nmsq");
     ASSERT_TRUE(
         dbformat::WriteDatabaseFile(path_, workload_.test.records()).ok);
     Status error;

@@ -20,9 +20,9 @@
 #include "nmine/mining/depth_first_miner.h"
 #include "nmine/mining/levelwise_miner.h"
 #include "nmine/mining/max_miner.h"
-#include "nmine/mining/phase3_checkpoint.h"
 #include "nmine/mining/toivonen_miner.h"
 #include "nmine/obs/metrics.h"
+#include "nmine/runtime/run_checkpoint.h"
 #include "test_util.h"
 
 namespace nmine {
@@ -176,11 +176,10 @@ TEST_F(FaultTolerantMiningTest, CheckpointResumeMatchesCleanRun) {
   // Needs >= 2 probe scans so a checkpoint exists when the fault hits.
   ASSERT_GE(clean.scans, 3) << "workload collapses in a single probe scan";
 
-  const std::string ckpt =
-      std::string(::testing::TempDir()) + "/phase3_resume.ckpt";
-  RemovePhase3Checkpoint(ckpt);
+  const std::string ckpt = testutil::TempPath("phase3_resume.ckpt");
+  runtime::RemoveRunCheckpoint(ckpt);
   MinerOptions options = Options();
-  options.phase3_checkpoint_path = ckpt;
+  options.run_checkpoint_path = ckpt;
   BorderCollapseMiner miner(Metric::kMatch, options);
 
   // Run 1: permanent fault on the last probe scan. Fails closed, leaving
@@ -211,13 +210,14 @@ TEST_F(FaultTolerantMiningTest, CheckpointResumeMatchesCleanRun) {
 }
 
 TEST_F(FaultTolerantMiningTest, CheckpointRoundTripAndGuards) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/cp_roundtrip.ckpt";
-  Phase3Checkpoint cp;
-  cp.metric = Metric::kMatch;
-  cp.min_threshold = 0.25;
-  cp.num_sequences = 80;
-  cp.total_symbols = 2400;
+  const std::string path = testutil::TempPath("cp_roundtrip.ckpt");
+  runtime::RunCheckpoint expected;
+  expected.metric = Metric::kMatch;
+  expected.min_threshold = 0.25;
+  expected.num_sequences = 80;
+  expected.total_symbols = 2400;
+  runtime::RunCheckpoint cp = expected;
+  cp.stage = runtime::RunStage::kPhase3Progress;
   cp.scans_completed = 3;
   cp.ambiguous_after_sample = 12;
   cp.ambiguous_with_unit_spread = 9;
@@ -227,15 +227,11 @@ TEST_F(FaultTolerantMiningTest, CheckpointRoundTripAndGuards) {
   cp.resolved_frequent.emplace_back(testutil::P({0, 1}), 0.75);
   cp.resolved_frequent.emplace_back(testutil::P({0, -1, 2}), 0.5);
   cp.unresolved.emplace_back(testutil::P({1, 2}), 0.3);
-  ASSERT_TRUE(WritePhase3Checkpoint(path, cp).ok());
+  ASSERT_TRUE(runtime::WriteRunCheckpoint(path, cp).ok());
 
-  Phase3Checkpoint expected;
-  expected.metric = Metric::kMatch;
-  expected.min_threshold = 0.25;
-  expected.num_sequences = 80;
-  expected.total_symbols = 2400;
-  Phase3Checkpoint loaded;
-  ASSERT_TRUE(LoadPhase3Checkpoint(path, expected, &loaded).ok());
+  runtime::RunCheckpoint loaded;
+  ASSERT_TRUE(runtime::LoadRunCheckpoint(path, expected, &loaded).ok());
+  EXPECT_EQ(loaded.stage, runtime::RunStage::kPhase3Progress);
   EXPECT_EQ(loaded.scans_completed, 3);
   EXPECT_EQ(loaded.ambiguous_after_sample, 12u);
   EXPECT_EQ(loaded.ambiguous_with_unit_spread, 9u);
@@ -249,23 +245,24 @@ TEST_F(FaultTolerantMiningTest, CheckpointRoundTripAndGuards) {
   EXPECT_EQ(loaded.unresolved[0].first, testutil::P({1, 2}));
 
   // Guard mismatch: a different threshold must refuse the checkpoint.
-  Phase3Checkpoint other = expected;
+  runtime::RunCheckpoint other = expected;
   other.min_threshold = 0.5;
-  Phase3Checkpoint ignored;
-  EXPECT_EQ(LoadPhase3Checkpoint(path, other, &ignored).code(),
+  runtime::RunCheckpoint ignored;
+  EXPECT_EQ(runtime::LoadRunCheckpoint(path, other, &ignored).code(),
             StatusCode::kFailedPrecondition);
 
   // Missing file: fresh run.
   EXPECT_EQ(
-      LoadPhase3Checkpoint(path + ".missing", expected, &ignored).code(),
+      runtime::LoadRunCheckpoint(path + ".missing", expected, &ignored)
+          .code(),
       StatusCode::kNotFound);
 
-  // Malformed file: data loss, never a crash.
+  // Malformed file under a foreign magic: data loss, never a crash.
   {
     std::ofstream out(path, std::ios::trunc);
     out << "nmine-phase3-checkpoint v1\nmetric match\ngarbage here\n";
   }
-  EXPECT_EQ(LoadPhase3Checkpoint(path, expected, &ignored).code(),
+  EXPECT_EQ(runtime::LoadRunCheckpoint(path, expected, &ignored).code(),
             StatusCode::kDataLoss);
   std::remove(path.c_str());
 }

@@ -14,13 +14,14 @@
 #include <vector>
 
 #include "nmine/obs/json_parse.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace obs {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
+  return testutil::TempPath(name);
 }
 
 TEST(FlightRecorderTest, DisabledRecordIsANoOp) {

@@ -10,6 +10,7 @@
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/json_util.h"
 #include "nmine/obs/trace.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace obs {
@@ -68,7 +69,7 @@ TEST(JsonIntegrityTest, TraceOutFileIsValidChromeTraceJson) {
   { TraceSpan span("mine.collapse", "mining"); }
   tracer.Stop();
 
-  std::string path = std::string(::testing::TempDir()) + "/trace_out.json";
+  std::string path = testutil::TempPath("trace_out.json");
   ASSERT_TRUE(tracer.WriteJsonFile(path));
   std::optional<JsonValue> parsed = ParseJsonFile(path);
   ASSERT_TRUE(parsed.has_value());

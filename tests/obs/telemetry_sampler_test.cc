@@ -13,13 +13,14 @@
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/metrics.h"
 #include "nmine/obs/profiler.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace obs {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
+  return testutil::TempPath(name);
 }
 
 std::vector<JsonValue> ReadRows(const std::string& path) {

@@ -122,9 +122,9 @@ TEST_F(CancelResumeTest, CancelDuringEachPhaseResumesBitIdentical) {
     for (const CancelPoint& pt : points) {
       SCOPED_TRACE(std::string(pt.phase) + " threads=" +
                    std::to_string(threads));
-      const std::string ckpt = std::string(::testing::TempDir()) +
-                               "/cancel_" + pt.phase + "_t" +
-                               std::to_string(threads) + ".ckpt";
+      const std::string ckpt =
+          testutil::TempPath(std::string("cancel_") + pt.phase + "_t" +
+                             std::to_string(threads) + ".ckpt");
       std::remove(ckpt.c_str());
 
       runtime::RunControl run;

@@ -1,5 +1,4 @@
-// Corrupt-checkpoint corpus: the whole-run checkpoint loader (and its
-// Phase-3 adapter) must survive truncation at every byte offset, bad
+// Corrupt-checkpoint corpus: the whole-run checkpoint loader must survive truncation at every byte offset, bad
 // magic, garbage sections, and guard mismatches — returning kDataLoss /
 // kFailedPrecondition, never crashing and never silently accepting a
 // damaged file as complete.
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "nmine/core/status.h"
-#include "nmine/mining/phase3_checkpoint.h"
 #include "nmine/runtime/run_checkpoint.h"
 #include "test_util.h"
 
@@ -82,7 +80,7 @@ bool SameContents(const runtime::RunCheckpoint& a,
 class RunCheckpointCorruptTest : public ::testing::Test {
  protected:
   std::string Path(const char* name) const {
-    return std::string(::testing::TempDir()) + "/" + name;
+    return testutil::TempPath(name);
   }
 };
 
@@ -189,32 +187,29 @@ TEST_F(RunCheckpointCorruptTest, MissingFileIsNotFound) {
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
 }
 
-TEST_F(RunCheckpointCorruptTest, Phase3AdapterSurvivesTheSameCorpus) {
-  const std::string path = Path("adapter.ckpt");
-  // Write via the adapter, truncate at every offset, load via the adapter.
-  Phase3Checkpoint cp;
-  cp.metric = Metric::kMatch;
-  cp.min_threshold = 0.25;
-  cp.num_sequences = 80;
-  cp.total_symbols = 2400;
-  cp.scans_completed = 3;
-  cp.symbol_match = {0.5, 0.25};
-  cp.resolved_frequent.emplace_back(testutil::P({0, 1}), 0.75);
-  cp.unresolved.emplace_back(testutil::P({1}), 0.3);
-  ASSERT_TRUE(WritePhase3Checkpoint(path, cp).ok());
-
-  Phase3Checkpoint expected;
+TEST_F(RunCheckpointCorruptTest, MinimalPhase3CheckpointSurvivesTheSameCorpus) {
+  // The smallest Phase-3 snapshot: no sample and zero sampling guards.
+  // Truncate it at every offset and check both loads and guards.
+  const std::string path = Path("minimal_phase3.ckpt");
+  runtime::RunCheckpoint expected;
   expected.metric = Metric::kMatch;
   expected.min_threshold = 0.25;
   expected.num_sequences = 80;
   expected.total_symbols = 2400;
+  runtime::RunCheckpoint cp = expected;
+  cp.stage = runtime::RunStage::kPhase3Progress;
+  cp.scans_completed = 3;
+  cp.symbol_match = {0.5, 0.25};
+  cp.resolved_frequent.emplace_back(testutil::P({0, 1}), 0.75);
+  cp.unresolved.emplace_back(testutil::P({1}), 0.3);
+  ASSERT_TRUE(runtime::WriteRunCheckpoint(path, cp).ok());
 
   const std::string bytes = ReadBytes(path);
-  const std::string victim = Path("adapter_cut.ckpt");
+  const std::string victim = Path("minimal_phase3_cut.ckpt");
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     WriteBytes(victim, bytes.substr(0, cut));
-    Phase3Checkpoint loaded;
-    Status s = LoadPhase3Checkpoint(victim, expected, &loaded);
+    runtime::RunCheckpoint loaded;
+    Status s = runtime::LoadRunCheckpoint(victim, expected, &loaded);
     if (s.ok()) {
       EXPECT_EQ(loaded.resolved_frequent, cp.resolved_frequent)
           << "cut at byte " << cut;
@@ -225,11 +220,10 @@ TEST_F(RunCheckpointCorruptTest, Phase3AdapterSurvivesTheSameCorpus) {
           << "cut at byte " << cut << ": " << s.ToString();
     }
   }
-  // Guard mismatch through the adapter.
-  Phase3Checkpoint other = expected;
+  runtime::RunCheckpoint other = expected;
   other.num_sequences = 79;
-  Phase3Checkpoint ignored;
-  EXPECT_EQ(LoadPhase3Checkpoint(path, other, &ignored).code(),
+  runtime::RunCheckpoint ignored;
+  EXPECT_EQ(runtime::LoadRunCheckpoint(path, other, &ignored).code(),
             StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
   std::remove(victim.c_str());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "nmine/serve/job_journal.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace serve {
@@ -17,8 +18,8 @@ namespace {
 class JobJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/journal_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("journal_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

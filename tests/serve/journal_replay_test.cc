@@ -25,6 +25,7 @@
 #include "nmine/serve/job.h"
 #include "nmine/serve/job_journal.h"
 #include "nmine/serve/server.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace serve {
@@ -101,8 +102,8 @@ Status SubmitJob(JobJournal* journal, uint64_t id, const std::string& tag) {
 class JournalReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/journal_replay_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("journal_replay_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -238,8 +239,8 @@ TEST_F(JournalReplayTest, CompactionDropsOnlyTheOldestTerminalJobs) {
 class ResubmitAcrossRestartTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/resubmit_restart_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("resubmit_restart_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     WorkloadSpec wspec;

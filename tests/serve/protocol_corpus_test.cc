@@ -21,6 +21,7 @@
 #include "nmine/obs/json_parse.h"
 #include "nmine/serve/protocol.h"
 #include "nmine/serve/server.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace serve {
@@ -151,8 +152,8 @@ class PersistentConnection {
 class ProtocolCorpusServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/proto_corpus_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("proto_corpus_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     MiningServer::Options options;
     options.state_dir = dir_ + "/state";

@@ -28,6 +28,7 @@
 #include "nmine/obs/trace.h"
 #include "nmine/serve/job.h"
 #include "nmine/serve/server.h"
+#include "test_util.h"
 
 namespace nmine {
 namespace serve {
@@ -90,8 +91,8 @@ std::string SubmitLine(const std::string& client, const std::string& tag,
 class MiningServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string(::testing::TempDir()) + "/serve_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testutil::TempPath(std::string("serve_") +
+                                  ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
 

@@ -1,11 +1,21 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <functional>
 
 #include "nmine/core/match.h"
 
 namespace nmine {
 namespace testutil {
+
+std::string TempPath(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) /
+          ("nmine_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 CompatibilityMatrix Figure2Matrix() {
   return CompatibilityMatrix({

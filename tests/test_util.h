@@ -1,6 +1,7 @@
 #ifndef NMINE_TESTS_TEST_UTIL_H_
 #define NMINE_TESTS_TEST_UTIL_H_
 
+#include <string>
 #include <vector>
 
 #include "nmine/core/compatibility_matrix.h"
@@ -10,6 +11,11 @@
 
 namespace nmine {
 namespace testutil {
+
+/// A scratch path under the gtest temp dir that no other test process
+/// shares: ctest runs tests as parallel processes, so a fixed name there
+/// is a race between them. `name` keeps paths apart within one process.
+std::string TempPath(const std::string& name);
 
 /// The 5-symbol compatibility matrix of the paper's Figure 2.
 CompatibilityMatrix Figure2Matrix();

@@ -71,15 +71,15 @@
 //                           (gauge db.scan.retry_budget_remaining)
 //   --fault-plan SPEC       inject scan faults, e.g. "open-fail:1" or
 //                           "corrupt-from:0" (see db/fault_injecting_database.h)
-//   --phase3-checkpoint F   checkpoint border-collapsing probe state to F
+//   --phase3-checkpoint F   alias of --run-checkpoint F (an error when
+//                           both name different files)
 //   --phase3-retries N      miner-level re-probes of a failed Phase-3 batch
 //
 // Run lifecycle flags for `mine` (see README "Run lifecycle"):
 //   --run-checkpoint F      whole-run checkpoint: snapshot after Phase 1,
 //                           after Phase 2, and after every Phase-3 probe
 //                           scan; an interrupted run rerun with the same
-//                           flags resumes bit-identically (collapse only;
-//                           supersedes --phase3-checkpoint)
+//                           flags resumes bit-identically (collapse only)
 //   --deadline S            stop cooperatively after S seconds: the run
 //                           flushes its checkpoint and exits 3
 //   --memory-budget BYTES   degrade instead of thrash: first shrink probe
@@ -93,8 +93,8 @@
 // Exit status: 0 on success, 1 on usage/IO errors, 2 when a database scan
 // or mining run failed at runtime (unrecoverable fault, corrupt data, or
 // an exhausted memory budget), 3 when the run was cancelled (signal) or
-// hit its --deadline — state is checkpointed when --run-checkpoint (or
-// --phase3-checkpoint) is set, so a rerun resumes where it stopped.
+// hit its --deadline — state is checkpointed when --run-checkpoint is set,
+// so a rerun resumes where it stopped.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -730,8 +730,17 @@ int CmdMine(const Flags& flags) {
       static_cast<size_t>(std::max(0LL, flags.GetInt("threads", 1)));
   options.phase3_scan_retries =
       static_cast<size_t>(std::max(0LL, flags.GetInt("phase3-retries", 1)));
-  options.phase3_checkpoint_path = flags.Get("phase3-checkpoint", "");
-  options.run_checkpoint_path = flags.Get("run-checkpoint", "");
+  // --phase3-checkpoint is an alias of --run-checkpoint: one checkpoint
+  // covers every scan boundary.
+  const std::string run_ckpt = flags.Get("run-checkpoint", "");
+  const std::string phase3_ckpt = flags.Get("phase3-checkpoint", "");
+  if (!run_ckpt.empty() && !phase3_ckpt.empty() && run_ckpt != phase3_ckpt) {
+    std::fprintf(stderr,
+                 "mine: --phase3-checkpoint and --run-checkpoint name "
+                 "different files; give one\n");
+    return 1;
+  }
+  options.run_checkpoint_path = run_ckpt.empty() ? phase3_ckpt : run_ckpt;
   options.memory_budget_bytes =
       static_cast<size_t>(std::max(0LL, flags.GetInt("memory-budget", 0)));
 
@@ -823,9 +832,7 @@ int CmdMine(const Flags& flags) {
     }
     if (result.status.code() == StatusCode::kCancelled ||
         result.status.code() == StatusCode::kDeadlineExceeded) {
-      std::string ckpt = !options.run_checkpoint_path.empty()
-                             ? options.run_checkpoint_path
-                             : options.phase3_checkpoint_path;
+      const std::string& ckpt = options.run_checkpoint_path;
       if (!ckpt.empty()) {
         std::fprintf(stderr,
                      "mine: progress checkpointed to '%s'; rerun with the "

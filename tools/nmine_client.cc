@@ -42,13 +42,9 @@
 // Exit status: 0 success; 1 usage/connection failure (timeout included);
 // 2 the job failed with a typed runtime error; 3 the job was cancelled or
 // hit its deadline.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +56,7 @@
 #include <thread>
 
 #include "nmine/eval/table.h"
+#include "nmine/net/line_transport.h"
 #include "nmine/net/retry.h"
 #include "nmine/obs/json_parse.h"
 #include "nmine/obs/json_util.h"
@@ -107,6 +104,12 @@ class Flags {
 
 using Clock = std::chrono::steady_clock;
 
+/// Longest reply line accepted from the server. Trace replies carry a
+/// whole Chrome trace as one string member, so this is far above any
+/// request cap, but a peer streaming without a newline still cannot grow
+/// the buffer without bound.
+constexpr size_t kMaxReplyLine = 64u << 20;
+
 /// One server connection with deadline-aware reconnect. Every failure path
 /// (connect refused, connection reset, server draining) sleeps the shared
 /// net/retry reconnect schedule and tries again until `deadline`.
@@ -115,22 +118,24 @@ class Connection {
   Connection(std::string host, uint16_t port, Clock::time_point deadline)
       : host_(std::move(host)), port_(port), deadline_(deadline) {}
 
-  ~Connection() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
   /// Sends `line` and reads one response line, reconnecting (and
-  /// re-sending — ops are idempotent) on any transport failure. nullopt
-  /// only when the deadline passes first.
-  std::optional<std::string> RoundTrip(const std::string& line) {
+  /// re-sending — ops are idempotent) on any transport failure.
+  /// DeadlineExceeded when the deadline passes first; InvalidArgument or
+  /// ResourceExhausted (reply over kMaxReplyLine) at once.
+  Status RoundTrip(const std::string& line, std::string* response) {
+    auto before_deadline = [this] {
+      return Clock::now() < deadline_
+                 ? Status::Ok()
+                 : Status::DeadlineExceeded("--timeout exhausted");
+    };
     while (true) {
-      if (fd_ < 0 && !Reconnect()) return std::nullopt;
-      if (SendAll(line) ) {
-        std::optional<std::string> response = ReadLine();
-        if (response.has_value()) return response;
+      Status s = client_.connected() ? Status::Ok()
+                                     : client_.Connect(host_, port_);
+      if (s.ok()) s = client_.RoundTrip(line, response, before_deadline);
+      if (!s.IsTransient()) return s;
+      if (!BackoffOrGiveUp()) {
+        return Status::DeadlineExceeded("--timeout exhausted");
       }
-      Drop();
-      if (!BackoffOrGiveUp()) return std::nullopt;
     }
   }
 
@@ -145,72 +150,10 @@ class Connection {
   }
 
  private:
-  void Drop() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  bool Reconnect() {
-    while (Clock::now() < deadline_) {
-      int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd >= 0) {
-        sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port_);
-        if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) == 1 &&
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          timeval timeout;
-          timeout.tv_sec = 0;
-          timeout.tv_usec = 200 * 1000;
-          ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                       sizeof(timeout));
-          fd_ = fd;
-          return true;
-        }
-        ::close(fd);
-      }
-      if (!BackoffOrGiveUp()) return false;
-    }
-    return false;
-  }
-
-  bool SendAll(const std::string& data) {
-    size_t done = 0;
-    while (done < data.size()) {
-      ssize_t w = ::send(fd_, data.data() + done, data.size() - done,
-                         MSG_NOSIGNAL);
-      if (w <= 0) return false;
-      done += static_cast<size_t>(w);
-    }
-    return true;
-  }
-
-  std::optional<std::string> ReadLine() {
-    std::string buffer;
-    char chunk[4096];
-    while (Clock::now() < deadline_) {
-      size_t nl = buffer.find('\n');
-      if (nl != std::string::npos) return buffer.substr(0, nl);
-      ssize_t r = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (r > 0) {
-        buffer.append(chunk, static_cast<size_t>(r));
-        continue;
-      }
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                    errno == EINTR)) {
-        continue;  // receive timeout tick: re-check the deadline
-      }
-      return std::nullopt;  // peer closed or hard error
-    }
-    return std::nullopt;
-  }
-
   std::string host_;
   uint16_t port_;
   Clock::time_point deadline_;
-  int fd_ = -1;
+  net::LineClient client_{kMaxReplyLine};
   net::ReconnectBackoff backoff_;
 };
 
@@ -255,12 +198,14 @@ void SaveTrace(Connection& connection, uint64_t job_id,
                const std::string& path) {
   std::string request =
       "{\"op\": \"trace\", \"id\": " + std::to_string(job_id) + "}\n";
-  std::optional<std::string> line = connection.RoundTrip(request);
-  if (!line.has_value()) {
-    std::fprintf(stderr, "nmine_client: --trace-out: trace fetch timed out\n");
+  std::string line;
+  Status fetched = connection.RoundTrip(request, &line);
+  if (!fetched.ok()) {
+    std::fprintf(stderr, "nmine_client: --trace-out: trace fetch failed: %s\n",
+                 fetched.ToString().c_str());
     return;
   }
-  std::optional<obs::JsonValue> response = obs::ParseJson(*line);
+  std::optional<obs::JsonValue> response = obs::ParseJson(line);
   if (!response.has_value() || !response->is_object()) {
     std::fprintf(stderr, "nmine_client: --trace-out: malformed response\n");
     return;
@@ -437,22 +382,27 @@ int Main(int argc, char** argv) {
   }
 
   while (true) {
-    std::optional<std::string> response_line = connection.RoundTrip(request);
-    if (!response_line.has_value()) {
+    std::string response_line;
+    Status sent = connection.RoundTrip(request, &response_line);
+    if (sent.code() == StatusCode::kDeadlineExceeded) {
       std::fprintf(stderr, "nmine_client: --timeout of %.3gs exhausted\n",
                    timeout_s);
       return 1;
     }
-    std::optional<obs::JsonValue> response = obs::ParseJson(*response_line);
+    if (!sent.ok()) {
+      std::fprintf(stderr, "nmine_client: %s\n", sent.ToString().c_str());
+      return 1;
+    }
+    std::optional<obs::JsonValue> response = obs::ParseJson(response_line);
     if (!response.has_value() || !response->is_object()) {
       std::fprintf(stderr, "nmine_client: malformed response: %s\n",
-                   response_line->c_str());
+                   response_line.c_str());
       return 1;
     }
     const obs::JsonValue* ok = response->Get("ok");
     if (ok == nullptr || ok->type != obs::JsonValue::Type::kBool) {
       std::fprintf(stderr, "nmine_client: malformed response: %s\n",
-                   response_line->c_str());
+                   response_line.c_str());
       return 1;
     }
 
@@ -519,7 +469,7 @@ int Main(int argc, char** argv) {
       return code;
     }
     // ping / jobs
-    std::printf("%s\n", response_line->c_str());
+    std::printf("%s\n", response_line.c_str());
     return 0;
   }
 }
